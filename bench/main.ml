@@ -786,39 +786,6 @@ let store_bench () =
     failwith "store: daemon payload differs from the offline computation";
   if speedup < 10.0 then
     failwith "store: warm query not at least 10x faster than cold";
-  (* zipf-ish mix over the registry objects: rank i drawn with weight
-     1/(i+1), deterministic LCG so the mix is reproducible (and so the
-     cluster phase below can replay the identical request schedule) *)
-  let mix =
-    if !quick then [| ("LULESH", "m_elemBC"); ("LULESH", "m_delv_zeta") |]
-    else
-      Array.of_list
-        (List.map
-           (fun ((e : Registry.entry), obj) -> (e.Registry.benchmark, obj))
-           (fig4_objects ()))
-  in
-  let n = Array.length mix in
-  let make_lcg () =
-    let state = ref 0x2545F491 in
-    fun () ->
-      state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-      float_of_int !state /. 1073741824.0
-  in
-  let make_zipf arr =
-    let n = Array.length arr in
-    let weights = Array.init n (fun i -> 1.0 /. float_of_int (i + 1)) in
-    let total_w = Array.fold_left ( +. ) 0.0 weights in
-    fun next_float ->
-      let x = next_float () *. total_w in
-      let rec go i acc =
-        if i = n - 1 then i
-        else if acc +. weights.(i) >= x then i
-        else go (i + 1) (acc +. weights.(i))
-      in
-      go 0 0.0
-  in
-  let pick = make_zipf mix in
-  let draws = if !quick then 40 else 400 in
   (* latency per served-status: an aggregate q/s hides that the mix is
      bimodal (sub-ms hits vs ~minute cold computes) *)
   let percentile sorted q =
@@ -864,6 +831,70 @@ let store_bench () =
       rows;
     Printf.fprintf oc "%s}" indent
   in
+  (* per-tier hit latency on the probe key: [tier_reps] sequential hits
+     from the memory tier, then as many from disk through a second daemon
+     on the same store whose LRU holds nothing *)
+  let tier_reps = 200 in
+  let tier_lats = Hashtbl.create 2 in
+  let time_hits socket =
+    for _ = 1 to tier_reps do
+      let t1 = Unix.gettimeofday () in
+      let h, p = Client.rpc ~socket (advf_req probe_bench probe_obj) in
+      note_lat tier_lats (served h) (Unix.gettimeofday () -. t1);
+      if p <> p1 then failwith "store: a tier hit served different bytes"
+    done
+  in
+  time_hits socket;
+  let disk_socket = socket ^ ".disk" in
+  let d_disk =
+    Daemon.start { cfg with Daemon.socket = disk_socket; lru_entries = 0 }
+  in
+  Fun.protect ~finally:(fun () -> Daemon.stop d_disk) (fun () ->
+      time_hits disk_socket);
+  let tier_lat = lat_summary tier_lats in
+  note "hit latency per tier, %d sequential hits each (host_cores %d):"
+    tier_reps (host_cores ());
+  List.iter
+    (fun (srv, cnt, p50, p95, p99) ->
+      note "  %-11s %4d hits  p50 %.0fus  p95 %.0fus  p99 %.0fus" srv cnt
+        (p50 *. 1e6) (p95 *. 1e6) (p99 *. 1e6))
+    tier_lat;
+  if List.map (fun (srv, _, _, _, _) -> srv) tier_lat
+     <> [ "disk-hit"; "memory-hit" ]
+  then failwith "store: tier phase was not served from both tiers";
+  (* zipf-ish mix over the registry objects: rank i drawn with weight
+     1/(i+1), deterministic LCG so the mix is reproducible (and so the
+     cluster phase below can replay the identical request schedule) *)
+  let mix =
+    if !quick then [| ("LULESH", "m_elemBC"); ("LULESH", "m_delv_zeta") |]
+    else
+      Array.of_list
+        (List.map
+           (fun ((e : Registry.entry), obj) -> (e.Registry.benchmark, obj))
+           (fig4_objects ()))
+  in
+  let n = Array.length mix in
+  let make_lcg () =
+    let state = ref 0x2545F491 in
+    fun () ->
+      state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+      float_of_int !state /. 1073741824.0
+  in
+  let make_zipf arr =
+    let n = Array.length arr in
+    let weights = Array.init n (fun i -> 1.0 /. float_of_int (i + 1)) in
+    let total_w = Array.fold_left ( +. ) 0.0 weights in
+    fun next_float ->
+      let x = next_float () *. total_w in
+      let rec go i acc =
+        if i = n - 1 then i
+        else if acc +. weights.(i) >= x then i
+        else go (i + 1) (acc +. weights.(i))
+      in
+      go 0 0.0
+  in
+  let pick = make_zipf mix in
+  let draws = if !quick then 40 else 400 in
   let payloads : (string, string) Hashtbl.t = Hashtbl.create 32 in
   let lats = Hashtbl.create 8 in
   let hits = ref 0 in
@@ -1037,6 +1068,15 @@ let store_bench () =
       \  \"warm_seconds\": %.6f,\n\
       \  \"warm_speedup\": %.1f,\n\
       \  \"byte_identical_to_offline\": %b,\n\
+      \  \"hit_latency\": {\n\
+      \    \"host_cores\": %d,\n\
+      \    \"hits_per_tier\": %d,\n"
+      probe_bench probe_obj cold_s !warm_s speedup identical (host_cores ())
+      tier_reps;
+    emit_latency oc ~indent:"    " tier_lat;
+    Printf.fprintf oc
+      "\n\
+      \  },\n\
       \  \"zipf\": {\n\
       \    \"objects\": %d,\n\
       \    \"draws\": %d,\n\
@@ -1044,8 +1084,7 @@ let store_bench () =
       \    \"hit_ratio\": %.4f,\n\
       \    \"seconds\": %.4f,\n\
       \    \"queries_per_sec\": %.1f,\n"
-      probe_bench probe_obj cold_s !warm_s speedup identical n draws !hits
-      hit_ratio mix_s
+      n draws !hits hit_ratio mix_s
       (float_of_int draws /. mix_s);
     emit_latency oc ~indent:"    " serial_lat;
     Printf.fprintf oc

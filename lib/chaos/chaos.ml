@@ -62,11 +62,14 @@ let fault_name = function
   | Crash -> "crash"
   | Partition n -> Printf.sprintf "partition:%d" n
 
+(* [log] entries carry their draw position: [(-1, n)] for the n-th draw
+   on the scope's sequential stream, [(conn, op)] for a keyed socket
+   draw. *)
 type per_scope = {
   rng : Rng.t;
   mutable ops : int;
   mutable injected : int;
-  mutable log : fault list;  (* reversed *)
+  mutable log : ((int * int) * fault) list;  (* reversed *)
 }
 
 type t = {
@@ -123,21 +126,31 @@ let pick rng scope =
   in
   menu.(Rng.next_int rng (Array.length menu)) ()
 
-let draw t scope =
+let trial t scope rng at =
   Mutex.lock t.m;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.m)
     (fun () ->
       let ps = List.assoc scope t.scopes in
+      let rng = Option.value ~default:ps.rng rng in
+      let at = Option.value ~default:(-1, ps.ops) at in
       ps.ops <- ps.ops + 1;
       let rate = t.rate_of scope in
-      if rate > 0. && Rng.next_float ps.rng < rate then begin
-        let f = pick ps.rng scope in
+      if rate > 0. && Rng.next_float rng < rate then begin
+        let f = pick rng scope in
         ps.injected <- ps.injected + 1;
-        ps.log <- f :: ps.log;
+        ps.log <- (at, f) :: ps.log;
         Some f
       end
       else None)
+
+let draw t scope = trial t scope None None
+
+(* A trial on a stream of its own, derived from (seed, scope, connection,
+   op): its outcome cannot depend on how connections interleave. *)
+let draw_at t scope ~conn ~op =
+  let rng = Rng.of_path ~seed:t.plan_seed [ scope_index scope; conn; op ] in
+  trial t scope (Some rng) (Some (conn, op))
 
 let stats t =
   Mutex.lock t.m;
@@ -150,7 +163,16 @@ let schedule t =
   Mutex.lock t.m;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.m)
-    (fun () -> List.map (fun (s, ps) -> (s, List.rev ps.log)) t.scopes)
+    (fun () ->
+      List.map
+        (fun (s, ps) ->
+          let log =
+            List.stable_sort
+              (fun (a, _) (b, _) -> compare a b)
+              (List.rev ps.log)
+          in
+          (s, List.map snd log))
+        t.scopes)
 
 (* FNV-1a64, same function the store records and plan hashes use; local
    because those libraries sit above this one in the dependency order. *)
@@ -184,12 +206,12 @@ let schedule_hash t =
 type shims = {
   store_fx : Fx.t;
   journal_fx : Fx.t;
-  sock : Sock.t;
+  sock : unit -> Sock.t;
   wrap_job : (unit -> unit) -> unit -> unit;
 }
 
 let passthrough =
-  { store_fx = Fx.real; journal_fx = Fx.real; sock = Sock.real;
+  { store_fx = Fx.real; journal_fx = Fx.real; sock = (fun () -> Sock.real);
     wrap_job = (fun job -> job) }
 
 let flip_bit s k =
@@ -247,9 +269,9 @@ let chaos_fx t ~read_scope ~write_scope =
 
 let shutdown_quiet fd = try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ()
 
-let chaos_sock t =
+let chaos_sock ~recv ~send =
   let read fd b off len =
-    match draw t Sock_recv with
+    match recv () with
     | None | Some (Flip _ | Short _ | Drop | Raise | Slow _ | Crash
                   | Partition _) ->
       Unix.read fd b off len
@@ -262,7 +284,7 @@ let chaos_sock t =
       0
   in
   let write fd b off len =
-    match draw t Sock_send with
+    match send () with
     | None | Some (Flip _ | Io_error _ | Raise | Slow _ | Crash
                   | Partition _) ->
       Unix.write fd b off len
@@ -287,7 +309,7 @@ let chaos_sock t =
    protocol's checksummed headers must catch it, or byte-identity is
    lost), and the menus carry no timing faults, so a harness report is
    a pure function of the seed. *)
-let internode_sock t =
+let internode ~recv ~send =
   let flip_read_bytes b off n k =
     if n > 0 then begin
       let bit = k mod (8 * n) in
@@ -297,7 +319,7 @@ let internode_sock t =
     end
   in
   let read fd b off len =
-    match draw t Inter_recv with
+    match recv () with
     | None | Some (Short _ | Drop | Delay _ | Raise | Slow _ | Crash
                   | Partition _) ->
       Unix.read fd b off len
@@ -311,7 +333,7 @@ let internode_sock t =
       0
   in
   let write fd b off len =
-    match draw t Inter_send with
+    match send () with
     | None | Some (Drop | Io_error _ | Delay _ | Raise | Slow _ | Crash
                   | Partition _) ->
       Unix.write fd b off len
@@ -343,10 +365,31 @@ let chaos_wrap t job () =
     Unix.sleepf d;
     job ()
 
+(* One socket shim per connection, numbered in the order connections
+   are opened; each draws from (connection, op index) streams, so the
+   faults a connection sees are fixed by the seed and its own operation
+   sequence, whatever other connections do meanwhile. *)
+let per_connection t ~recv_scope ~send_scope make =
+  let conns = Atomic.make 0 in
+  fun () ->
+    let conn = Atomic.fetch_and_add conns 1 in
+    let stream scope =
+      let op = ref 0 in
+      fun () ->
+        let o = !op in
+        incr op;
+        draw_at t scope ~conn ~op:o
+    in
+    make ~recv:(stream recv_scope) ~send:(stream send_scope)
+
+let internode_sock t =
+  per_connection t ~recv_scope:Inter_recv ~send_scope:Inter_send internode
+
 let shims t =
   {
     store_fx = chaos_fx t ~read_scope:Store_read ~write_scope:Store_write;
     journal_fx = chaos_fx t ~read_scope:Journal_read ~write_scope:Journal_write;
-    sock = chaos_sock t;
+    sock =
+      per_connection t ~recv_scope:Sock_recv ~send_scope:Sock_send chaos_sock;
     wrap_job = chaos_wrap t;
   }

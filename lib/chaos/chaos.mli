@@ -5,8 +5,11 @@
     injection scope from a single seed (mirroring campaign plan
     streams), so the fault schedule a component sees depends only on
     the seed and on that component's own operation sequence — never on
-    how operations in other scopes interleave.  Replaying a workload
-    against the same seed reproduces the same faults.
+    how operations in other scopes interleave.  Socket scopes go one
+    step further: every connection draws from streams keyed by (seed,
+    connection index, op index within the connection), so concurrent
+    connections cannot shift each other's faults either.  Replaying a
+    workload against the same seed reproduces the same faults.
 
     Faults are injected only at explicit shim points: the filesystem
     effects records used by the store and the journal ({!Fx.t}), the
@@ -57,10 +60,18 @@ val draw : t -> scope -> fault option
     probability [rates scope].  Exposed for the shims and for
     determinism tests; thread-safe. *)
 
+val draw_at : t -> scope -> conn:int -> op:int -> fault option
+(** One Bernoulli trial on a stream of its own, derived from (seed,
+    scope, [conn], [op]) — the socket shims' per-connection draws.  The
+    outcome depends on nothing else, so it is the same whenever and
+    from whichever thread it is drawn. *)
+
 type shims = {
   store_fx : Fx.t;
   journal_fx : Fx.t;
-  sock : Sock.t;
+  sock : unit -> Sock.t;
+      (** a fresh socket shim for each connection, called in the order
+          connections are accepted *)
   wrap_job : (unit -> unit) -> unit -> unit;
 }
 
@@ -70,13 +81,15 @@ val passthrough : shims
 val shims : t -> shims
 (** Shims that consult the plan on every operation. *)
 
-val internode_sock : t -> Sock.t
-(** Socket primitives for the proxy<->shard wire, driven by the
-    [Inter_recv]/[Inter_send] scopes.  Unlike the client-facing
-    [shims].sock, [Flip] here silently corrupts the bytes on the wire
-    (in a copy on the send side), which the protocol's frame checksums
-    must catch; the menus carry no timing faults so cluster harness
-    reports are deterministic per seed. *)
+val internode_sock : t -> unit -> Sock.t
+(** Socket primitives for the proxy<->shard wire, one shim per shard
+    connection (numbered in connection order, drawn through
+    {!draw_at}), driven by the [Inter_recv]/[Inter_send] scopes.
+    Unlike the client-facing [shims].sock, [Flip] here silently
+    corrupts the bytes on the wire (in a copy on the send side), which
+    the protocol's frame checksums must catch; the menus carry no
+    timing faults so cluster harness reports are deterministic per
+    seed. *)
 
 val stats : t -> (scope * int * int) list
 (** Per scope: (operations seen, faults injected), in [all_scopes]
@@ -84,7 +97,8 @@ val stats : t -> (scope * int * int) list
 
 val schedule : t -> (scope * fault list) list
 (** Faults injected so far, grouped by scope in [all_scopes] order,
-    each list in injection order. *)
+    each list in injection order — for keyed socket draws, in
+    (connection, op) order, which does not depend on scheduling. *)
 
 val schedule_hash : t -> string
 (** FNV-1a64 hex digest of the rendered schedule.  Two runs survived

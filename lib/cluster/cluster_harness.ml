@@ -80,7 +80,23 @@ let rec rm_rf path =
   | _ -> Unix.unlink path
   | exception Unix.Unix_error _ -> ()
 
-let hang_bound_s = 60.0
+(* Timeouts grow outward, so no layer gives up on a slower layer below
+   that is still working — a give-up would make the retry count, and with
+   it the report, depend on the host's speed. A shard answers within its
+   request timeout; the proxy waits longer than that per forward; the
+   client outwaits the proxy's longest legitimate answer, every attempt
+   on both owners (R = 2) waiting out its forward timeout. Only a frame
+   the shims lost can exhaust a timeout. *)
+let shard_timeout_s = 20.
+let forward_timeout_s = 25.
+let forward_attempts = 3
+let client_attempts = 4
+
+let client_timeout_s =
+  (2. *. float_of_int forward_attempts *. (forward_timeout_s +. 0.3)) +. 10.
+
+(* The longest legitimate retry schedule: every attempt times out. *)
+let hang_bound_s = (float_of_int client_attempts *. client_timeout_s) +. 10.
 
 let cluster_scopes =
   [ Chaos.Inter_send; Chaos.Inter_recv; Chaos.Shard_crash;
@@ -137,14 +153,14 @@ let run ?(seed = 11) ?(rounds = 2) ?(rate = 0.08) ?(shards = 2)
   in
   let root = fresh_dir "moard-cluster-chaos" in
   let cluster =
-    Local.start ~root ~shards ~workers:1 ~queue:16 ~timeout_s:20.
+    Local.start ~root ~shards ~workers:1 ~queue:16 ~timeout_s:shard_timeout_s
       ~tune:(fun c ->
         {
           c with
           Proxy.hedge_after_s = Some 1e6;  (* hedging off: serial legs *)
           warm_auto = false;
-          rpc_timeout_s = 10.;
-          attempts = 3;
+          rpc_timeout_s = forward_timeout_s;
+          attempts = forward_attempts;
           base_delay_s = 0.02;
           max_delay_s = 0.3;
           seed;
@@ -211,8 +227,9 @@ let run ?(seed = 11) ?(rounds = 2) ?(rate = 0.08) ?(shards = 2)
     let outcome =
       try
         Some
-          (Client.rpc_retry ~attempts:4 ~base_delay_s:0.02 ~max_delay_s:0.3
-             ~timeout_s:15.0 ~seed:(seed + !requests) ~socket req)
+          (Client.rpc_retry ~attempts:client_attempts ~base_delay_s:0.02
+             ~max_delay_s:0.3 ~timeout_s:client_timeout_s
+             ~seed:(seed + !requests) ~socket req)
       with Protocol.Protocol_error _ | Unix.Unix_error _ | Sys_error _ -> None
     in
     if Monotime.now () -. t0 > hang_bound_s then incr hung;
@@ -231,9 +248,7 @@ let run ?(seed = 11) ?(rounds = 2) ?(rate = 0.08) ?(shards = 2)
             incr partial
           else if Option.value ~default:"" payload = want then incr identical
           else incr diverged)));
-    heal_topology ();
-    (* keep the per-scope fault streams aligned run after run *)
-    Unix.sleepf 0.01
+    heal_topology ()
   in
   for _round = 1 to rounds do
     List.iter

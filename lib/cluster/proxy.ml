@@ -7,6 +7,7 @@ module Protocol = Moard_server.Protocol
 module Client = Moard_server.Client
 module Jsonx = Moard_server.Jsonx
 module Version = Moard_server.Version
+module Oneshot = Moard_server.Oneshot
 
 type shard = { name : string; socket : string }
 
@@ -23,7 +24,7 @@ type config = {
   max_delay_s : float;
   warm_auto : bool;
   seed : int;
-  sock : Sock.t;
+  sock : unit -> Sock.t;
   partitioned : string -> bool;
 }
 
@@ -41,7 +42,7 @@ let default_config ~shards =
     max_delay_s = 1.0;
     warm_auto = true;
     seed = 0;
-    sock = Sock.real;
+    sock = (fun () -> Sock.real);
     partitioned = (fun _ -> false);
   }
 
@@ -181,14 +182,22 @@ let connect_shard t (s : shard) =
    and trips the compute's cancel token (unless someone coalesced onto
    it there).  The fd registry is guarded by [rm] so a winner never
    shuts down a descriptor number the loser has already returned to
-   the OS. *)
+   the OS.  The coordinator sleeps on [settled], which the first
+   winning leg fills — or the last launched leg, when every one has
+   failed; a failover round starts a fresh cell. *)
+type settled =
+  | Won of int * string * (Jsonx.t * string option)
+  | All_failed
+
 type race = {
   rm : Mutex.t;
   mutable winner : (int * string * (Jsonx.t * string option)) option;
+  mutable started : int;
   mutable finished : int;
   mutable errs : exn list;
   mutable race_cancelled : bool;
   mutable fds : (int * Unix.file_descr) list;
+  mutable settled : settled Oneshot.t;
 }
 
 exception Cancelled_leg
@@ -252,8 +261,9 @@ let forward_retry t ?race ?(leg = 0) ?attempts ~may_retry (s : shard) req =
     let attempt () =
       match
         with_shard_conn t race leg s (fun fd ->
-            Protocol.send ~sock:t.cfg.sock fd sealed;
-            match Protocol.recv ~sock:t.cfg.sock fd with
+            let sock = t.cfg.sock () in
+            Protocol.send ~sock fd sealed;
+            match Protocol.recv_response ~sock fd with
             | None ->
               raise
                 (Protocol.Protocol_error "shard closed the connection mid-request")
@@ -337,13 +347,19 @@ let race_forward t shards req ~may_retry =
       {
         rm = Mutex.create ();
         winner = None;
+        started = 0;
         finished = 0;
         errs = [];
         race_cancelled = false;
         fds = [];
+        settled = Oneshot.create ();
       }
     in
-    let spawn leg (s : shard) =
+    (* callers hold [race.rm] *)
+    let spawn () =
+      let leg = race.started in
+      let s = List.nth shards leg in
+      race.started <- leg + 1;
       ignore
         (Thread.create
            (fun () ->
@@ -355,78 +371,83 @@ let race_forward t shards req ~may_retry =
              Mutex.lock race.rm;
              (match outcome with
              | Ok resp when race.winner = None ->
-               race.winner <- Some (leg, s.name, resp)
+               race.winner <- Some (leg, s.name, resp);
+               ignore (Oneshot.fill race.settled (Won (leg, s.name, resp)))
              | Ok _ -> ()
              | Error Cancelled_leg -> ()
              | Error e -> race.errs <- e :: race.errs);
              race.finished <- race.finished + 1;
+             if race.winner = None && race.finished = race.started then
+               ignore (Oneshot.fill race.settled All_failed);
              Mutex.unlock race.rm)
            ())
     in
-    let started = ref 1 in
-    spawn 0 (List.hd shards);
+    let locked f =
+      Mutex.lock race.rm;
+      Fun.protect ~finally:(fun () -> Mutex.unlock race.rm) f
+    in
+    locked spawn;
     let hedge_after = hedge_deadline t in
     let t0 = Monotime.now () in
     let rec wait () =
-      Mutex.lock race.rm;
-      let w = race.winner and fin = race.finished in
-      Mutex.unlock race.rm;
-      match w with
-      | Some (leg, name, resp) ->
-        Mutex.lock race.rm;
-        race.race_cancelled <- true;
-        let losers = List.filter (fun (l, _) -> l <> leg) race.fds in
-        List.iter
-          (fun (_, fd) ->
-            try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-          losers;
-        Mutex.unlock race.rm;
+      let cell, started = locked (fun () -> (race.settled, race.started)) in
+      (* the next hedge leg launches at its own timer, not on a poll tick *)
+      let until =
+        if may_retry && started < n_shards then
+          t0 +. (hedge_after *. float_of_int started)
+        else Float.infinity
+      in
+      match Oneshot.await cell ~until with
+      | Some (Won (leg, name, resp)) ->
+        locked (fun () ->
+            race.race_cancelled <- true;
+            List.iter
+              (fun (l, fd) ->
+                if l <> leg then
+                  try Unix.shutdown fd Unix.SHUTDOWN_ALL
+                  with Unix.Unix_error _ -> ())
+              race.fds);
         if leg > 0 then bump t (fun t -> t.hedge_wins <- t.hedge_wins + 1);
         (resp, Some name)
+      | Some All_failed ->
+        let last_err =
+          locked (fun () ->
+              match race.errs with e :: _ -> Some e | [] -> None)
+        in
+        let connect_only =
+          match last_err with Some e -> retryable_connect e | None -> true
+        in
+        if started < n_shards && (may_retry || connect_only) then begin
+          bump t (fun t -> t.failovers <- t.failovers + 1);
+          locked (fun () ->
+              race.settled <- Oneshot.create ();
+              spawn ());
+          wait ()
+        end
+        else
+          ( ( Protocol.error ~code:"unavailable"
+                ~message:
+                  (Printf.sprintf "all %d replica(s) failed: %s" started
+                     (match last_err with
+                     | Some e -> Printexc.to_string e
+                     | None -> "no diagnostic")),
+              None ),
+            None )
       | None ->
-        if fin >= !started then begin
-          (* every launched leg failed *)
-          let last_err =
-            Mutex.lock race.rm;
-            let e = match race.errs with e :: _ -> Some e | [] -> None in
-            Mutex.unlock race.rm;
-            e
-          in
-          let connect_only =
-            match last_err with Some e -> retryable_connect e | None -> true
-          in
-          if !started < n_shards && (may_retry || connect_only) then begin
-            bump t (fun t -> t.failovers <- t.failovers + 1);
-            incr started;
-            spawn (!started - 1) (List.nth shards (!started - 1));
-            wait ()
-          end
-          else
-            ( ( Protocol.error ~code:"unavailable"
-                  ~message:
-                    (Printf.sprintf "all %d replica(s) failed: %s" !started
-                       (match last_err with
-                       | Some e -> Printexc.to_string e
-                       | None -> "no diagnostic")),
-                None ),
-              None )
-        end
-        else if
-          may_retry
-          && !started < n_shards
-          && Monotime.now () -. t0 >= hedge_after *. float_of_int !started
-        then begin
-          bump t (fun t -> t.hedged <- t.hedged + 1);
-          incr started;
-          spawn (!started - 1) (List.nth shards (!started - 1));
-          wait ()
-        end
-        else begin
-          Thread.delay 0.003;
-          wait ()
-        end
+        (* hedge timer; a leg that settled the race meanwhile wins *)
+        let hedged =
+          locked (fun () ->
+              let live = race.winner = None && race.finished < race.started in
+              if live then spawn ();
+              live)
+        in
+        if hedged then bump t (fun t -> t.hedged <- t.hedged + 1);
+        wait ()
     in
-    wait ()
+    Fun.protect
+      ~finally:(fun () ->
+        ignore (Oneshot.abandon (locked (fun () -> race.settled))))
+      wait
 
 (* ---------------- warming ---------------- *)
 

@@ -51,9 +51,10 @@ type config = {
       (** on a freshly computed advf response, queue the benchmark's
           sibling registry objects for warming *)
   seed : int;  (** seeds the retry-jitter stream *)
-  sock : Moard_chaos.Sock.t;
-      (** inter-node socket shims; {!Moard_chaos.Chaos.internode_sock}
-          under chaos, real syscalls in production *)
+  sock : unit -> Moard_chaos.Sock.t;
+      (** inter-node socket shims, one per shard connection (called in
+          connection order); {!Moard_chaos.Chaos.internode_sock} under
+          chaos, real syscalls in production *)
   partitioned : string -> bool;
       (** chaos hook: shard names currently unreachable from the proxy *)
 }

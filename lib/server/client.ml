@@ -26,7 +26,7 @@ let with_proto = function
 
 let request t req =
   Protocol.send t.fd (with_proto req);
-  match Protocol.recv t.fd with
+  match Protocol.recv_response t.fd with
   | Some resp -> resp
   | None ->
     raise (Protocol.Protocol_error "daemon closed the connection mid-request")

@@ -8,6 +8,7 @@ module Key = Moard_store.Key
 module Chaos = Moard_chaos.Chaos
 module Cancel = Moard_chaos.Cancel
 module Monotime = Moard_chaos.Monotime
+module Workload = Moard_inject.Workload
 
 type config = {
   socket : string;
@@ -52,6 +53,7 @@ type t = {
   m : Mutex.t;
   conns_done : Condition.t;
   ctxs : (string, Context.t) Hashtbl.t;
+  progs : (string, Workload.t * string) Hashtbl.t;
   flights : (string, flight) Hashtbl.t;
   warm_q : Jsonx.t Queue.t;
   warm_seen : (string, unit) Hashtbl.t;
@@ -72,10 +74,38 @@ let stopping t = Atomic.get t.stop_flag
 let store t = t.st
 let pool t = t.pool
 
+(* A benchmark's default workload and its program hash, built once per
+   daemon. The program text is a pure function of the registry entry, so
+   every later store key can reuse the hash instead of re-printing and
+   re-hashing the IR. Building a workload executes nothing: the golden
+   run stays in [ctx_of], and a hit never reaches it. *)
+let program_of t (e : Registry.entry) =
+  let b = e.Registry.benchmark in
+  Mutex.lock t.m;
+  let memo = Hashtbl.find_opt t.progs b in
+  Mutex.unlock t.m;
+  match memo with
+  | Some p -> p
+  | None ->
+    let wl = e.Registry.workload () in
+    let p = (wl, Key.program_hash wl.Workload.program) in
+    Mutex.lock t.m;
+    (* two first requests may both have built it: keep one *)
+    let p =
+      match Hashtbl.find_opt t.progs b with
+      | Some q -> q
+      | None ->
+        Hashtbl.replace t.progs b p;
+        p
+    in
+    Mutex.unlock t.m;
+    p
+
 (* One golden run per program, whoever asks first; the lock makes the
    make single-flight (concurrent first requests for the same benchmark
    must not both execute the golden run). *)
 let ctx_of t (e : Registry.entry) =
+  let wl, _ = program_of t e in
   Mutex.lock t.m;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.m)
@@ -83,7 +113,7 @@ let ctx_of t (e : Registry.entry) =
       match Hashtbl.find_opt t.ctxs e.Registry.benchmark with
       | Some ctx -> ctx
       | None ->
-        let ctx = Context.make (e.Registry.workload ()) in
+        let ctx = Context.make wl in
         Hashtbl.replace t.ctxs e.Registry.benchmark ctx;
         ctx)
 
@@ -183,21 +213,33 @@ let serve_result ~op ~key ~status extra payload =
       @ extra),
     Some payload )
 
-(* The three compute ops. Each returns (header, payload option).
-   [cancel] trips when the awaiting connection gives up on us: compute
-   paths poll it per site / per batch and abandon the work. *)
+let advf_request t req =
+  let e = entry_of req in
+  let object_name = field_str req "object" in
+  let options = options_of req ~batch:t.cfg.batch in
+  let wl, program_hash = program_of t e in
+  ( e,
+    wl,
+    object_name,
+    options,
+    Key.advf_of_hash ~program_hash ~object_name ~options )
+
+let advf_key t req =
+  let _, _, _, _, key = advf_request t req in
+  key
+
+(* The compute ops. Each returns (header, payload option) and derives
+   its store key once, from the memoized program hash, handing it to
+   [Query]. [cancel] trips when the awaiting connection gives up on us:
+   compute paths poll it per site / per batch and abandon the work. *)
 let compute t ~cancel req op =
   match op with
   | "advf" ->
-    let e = entry_of req in
-    let object_name = field_str req "object" in
-    let options = options_of req ~batch:t.cfg.batch in
-    let program = (e.Registry.workload ()).Moard_inject.Workload.program in
-    let key = Key.advf ~program ~object_name ~options in
+    let e, wl, object_name, options, key = advf_request t req in
     let payload, status =
-      Query.advf t.st ~options ~cancel
+      Query.advf t.st ~key ~options ~cancel
         ~ctx:(fun () -> ctx_of t e)
-        ~program ~object_name ()
+        ~program:wl.Workload.program ~object_name ()
     in
     serve_result ~op ~key ~status
       [
@@ -207,23 +249,23 @@ let compute t ~cancel req op =
       payload
   | "campaign" | "report" ->
     let e = entry_of req in
-    let program = (e.Registry.workload ()).Moard_inject.Workload.program in
+    let wl, program_hash = program_of t e in
     (* the plan needs the fault-site population, hence the golden run *)
     let ctx = ctx_of t e in
     let plan = plan_of req ctx e in
-    let key = Key.campaign ~program ~plan in
+    let key = Key.campaign_of_hash ~program_hash ~plan in
     let extra = [ ("benchmark", Jsonx.Str e.Registry.benchmark) ] in
     if op = "campaign" then begin
       let domains =
         Option.value ~default:1 (Jsonx.int (Jsonx.member "domains" req))
       in
       let payload, status, result =
-        Query.campaign t.st ~domains ~batch:t.cfg.batch
+        Query.campaign t.st ~key ~domains ~batch:t.cfg.batch
           ~should_stop:(fun () -> Atomic.get t.stop_flag)
           ~cancel ~fx:t.cfg.shims.Chaos.journal_fx
           ~journal_meta:[ ("benchmark", e.Registry.benchmark) ]
           ~ctx:(fun () -> ctx)
-          ~program ~plan ()
+          ~program:wl.Workload.program ~plan ()
       in
       let complete =
         match result with
@@ -302,17 +344,14 @@ let compute t ~cancel req op =
     (* predictions key on (size, program) pairs, not the daemon's shared
        per-benchmark context (which is pinned to the default size) *)
     let programs =
-      List.map
-        (fun n ->
-          (n, (e.Registry.workload_at n).Moard_inject.Workload.program))
-        sizes
+      List.map (fun n -> (n, (e.Registry.workload_at n).Workload.program)) sizes
     in
     let key =
       Key.predict ~programs ~object_name ~model ~seed ~confidence ~ci_width
         ~max_samples ~target
     in
     let payload, status, _ =
-      Query.predict t.st ~model ~seed ~confidence ~ci_width ~max_samples
+      Query.predict t.st ~key ~model ~seed ~confidence ~ci_width ~max_samples
         ~domains ~batch:t.cfg.batch ~cancel
         ~workload_at:e.Registry.workload_at ~object_name ~sizes ~target ()
     in
@@ -337,14 +376,14 @@ let compute t ~cancel req op =
     let ci_width = getf "ci_width" 0.02 in
     let max_samples = geti "max_samples" (-1) in
     let domains = geti "domains" 1 in
-    let wl = e.Registry.workload () in
+    let wl, program_hash = program_of t e in
     let objects = objects_of req e in
     let key =
-      Key.advise ~program:wl.Moard_inject.Workload.program ~objects ~model
-        ~seed ~confidence ~ci_width ~max_samples
+      Key.advise_of_hash ~program_hash ~objects ~model ~seed ~confidence
+        ~ci_width ~max_samples
     in
     let payload, status =
-      Query.advise t.st ~model ~seed ~confidence ~ci_width ~max_samples
+      Query.advise t.st ~key ~model ~seed ~confidence ~ci_width ~max_samples
         ~domains ~batch:t.cfg.batch ~cancel ~workload:wl ~objects ()
     in
     serve_result ~op ~key ~status
@@ -464,17 +503,22 @@ let client_gone fd =
     | _ -> false
     | exception Unix.Unix_error _ -> true)
 
+(* How often a waiting request checks that its client is still there. *)
+let client_check_s = 0.1
+
 (* Run one compute op through the pool. Pooled ops hand a job to a
-   worker domain and poll the slot under a monotonic request deadline;
-   when it passes — or the requesting connection dies with nobody
-   coalesced behind it — the job's cancel token trips and the
+   worker domain and sleep on a one-shot cell the job fills: the waiter
+   wakes when the result lands, when the monotonic request deadline
+   passes, or every [client_check_s] to look for a departed client.
+   When the deadline passes — or the requesting connection dies with
+   nobody coalesced behind it — the job's cancel token trips and the
    computation abandons the sweep at its next per-site/per-batch check:
    the worker frees instead of running a result nobody is waiting for
    to completion. *)
 let run_pooled t ?fd ?deadline_s fl req op =
   let timeout_s = Option.value ~default:t.cfg.timeout_s deadline_s in
-  let slot = Atomic.make None in
-  let fill r = ignore (Atomic.compare_and_set slot None (Some r)) in
+  let cell = Oneshot.create () in
+  let fill r = ignore (Oneshot.fill cell r) in
   let cancel = Cancel.create ~deadline_s:timeout_s () in
   let job () =
     let r =
@@ -486,9 +530,9 @@ let run_pooled t ?fd ?deadline_s fl req op =
             ~message:(Moard_predict.Predict.refusal_message r),
           None )
       | Cancel.Cancelled why ->
-        (* nobody is waiting by now; fill the slot anyway so the
-           invariant — every accepted job resolves its slot — holds
-           unconditionally *)
+        (* nobody is waiting by now; fill anyway so the invariant —
+           every accepted job resolves its cell — holds unconditionally
+           (a fill after the waiter gave up is dropped) *)
         ( Protocol.error ~code:"cancelled"
             ~message:("request abandoned: " ^ why),
           None )
@@ -509,14 +553,21 @@ let run_pooled t ?fd ?deadline_s fl req op =
           ~message:("job failed: " ^ Printexc.to_string e),
         None )
   in
+  (* a refused job never runs: nothing will fill, release the pipe *)
+  let refuse r =
+    ignore (Oneshot.abandon cell);
+    r
+  in
   match Pool.submit ~on_error t.pool job with
   | `Overloaded ->
-    ( Protocol.error ~code:"overloaded"
-        ~message:
-          (Printf.sprintf "queue full (%d pending); retry later" t.cfg.queue),
-      None )
+    refuse
+      ( Protocol.error ~code:"overloaded"
+          ~message:
+            (Printf.sprintf "queue full (%d pending); retry later" t.cfg.queue),
+        None )
   | `Draining ->
-    (Protocol.error ~code:"draining" ~message:"daemon is shutting down", None)
+    refuse
+      (Protocol.error ~code:"draining" ~message:"daemon is shutting down", None)
   | `Accepted ->
     let deadline = Monotime.now () +. timeout_s in
     let lone () =
@@ -525,38 +576,42 @@ let run_pooled t ?fd ?deadline_s fl req op =
       Mutex.unlock fl.fm;
       w = 0
     in
-    let rec await n =
-      match Atomic.get slot with
+    (* a result that lands as we give up still wins *)
+    let give_up ~code ~message =
+      match Oneshot.abandon cell with
       | Some r -> r
       | None ->
-        if Monotime.now () > deadline then begin
-          Cancel.cancel cancel;
-          ( Protocol.error ~code:"timeout"
-              ~message:
-                (Printf.sprintf
-                   "request exceeded %gs (the computation was cancelled; \
-                    partial campaign batches remain journalled for resume)"
-                   timeout_s),
-            None )
-        end
-        else if
-          (* every ~100 ms: a hedged-away or dead client frees its
-             worker, unless coalesced followers still want the result *)
-          n mod 20 = 0
-          && (match fd with Some fd -> client_gone fd | None -> false)
-          && lone ()
-        then begin
-          Cancel.cancel cancel;
-          ( Protocol.error ~code:"cancelled"
-              ~message:"client went away; computation abandoned",
-            None )
-        end
-        else begin
-          Thread.delay 0.005;
-          await (n + 1)
-        end
+        Cancel.cancel cancel;
+        (Protocol.error ~code ~message, None)
     in
-    await 1
+    let rec await () =
+      let until =
+        match fd with
+        | None -> deadline
+        | Some _ -> Float.min deadline (Monotime.now () +. client_check_s)
+      in
+      match Oneshot.await cell ~until with
+      | Some r -> r
+      | None ->
+        if Monotime.now () >= deadline then
+          give_up ~code:"timeout"
+            ~message:
+              (Printf.sprintf
+                 "request exceeded %gs (the computation was cancelled; \
+                  partial campaign batches remain journalled for resume)"
+                 timeout_s)
+        else if
+          (* a hedged-away or dead client frees its worker, unless
+             coalesced followers still want the result *)
+          (match fd with Some fd -> client_gone fd | None -> false)
+          && lone ()
+        then
+          give_up ~code:"cancelled"
+            ~message:"client went away; computation abandoned"
+        else await ()
+    in
+    (* whatever ends the wait, the cell's descriptors go back *)
+    Fun.protect ~finally:(fun () -> ignore (Oneshot.abandon cell)) await
 
 (* A coalesced follower serves the leader's bytes but says so: the
    response is a hit from the follower's point of view whatever the
@@ -708,22 +763,27 @@ let warm_loop t () =
       Mutex.unlock t.m
   done
 
-let handle_conn t fd =
-  let sock = t.cfg.shims.Chaos.sock in
+(* Input that is already there is read even while draining, so a client
+   that hung up always costs the same final EOF read, however its close
+   and the drain interleave; a request arriving during the drain is
+   refused with a typed [draining] error instead of being dropped. *)
+let handle_conn t fd sock =
   let rec loop () =
-    if not (stopping t) then begin
-      (* short select ticks keep the drain responsive on idle connections *)
-      match Unix.select [ fd ] [] [] 0.25 with
-      | [], _, _ -> loop ()
-      | _ -> (
-        match Protocol.recv ~sock fd with
-        | None -> ()
-        | Some (req, _payload) ->
-          let header, payload = dispatch t ~fd req in
-          bump t (is_ok header);
-          Protocol.send ~sock fd ?payload header;
-          loop ())
-    end
+    (* short select ticks keep the drain responsive on idle connections *)
+    match Unix.select [ fd ] [] [] 0.25 with
+    | [], _, _ -> if not (stopping t) then loop ()
+    | _ -> (
+      match Protocol.recv ~sock fd with
+      | None -> ()
+      | Some _ when stopping t ->
+        bump t false;
+        Protocol.send ~sock fd
+          (Protocol.error ~code:"draining" ~message:"daemon is shutting down")
+      | Some (req, _payload) ->
+        let header, payload = dispatch t ~fd req in
+        bump t (is_ok header);
+        Protocol.send ~sock fd ?payload header;
+        loop ())
   in
   (try loop () with
   | Protocol.Protocol_error msg ->
@@ -749,7 +809,9 @@ let accept_loop t () =
         Mutex.lock t.m;
         t.conns <- t.conns + 1;
         Mutex.unlock t.m;
-        ignore (Thread.create (fun () -> handle_conn t fd) ())
+        (* the shim is taken here, in accept order, not in the thread *)
+        let sock = t.cfg.shims.Chaos.sock () in
+        ignore (Thread.create (fun () -> handle_conn t fd sock) ())
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EINTR), _, _) -> ())
   done
 
@@ -777,6 +839,7 @@ let start cfg =
       m = Mutex.create ();
       conns_done = Condition.create ();
       ctxs = Hashtbl.create 8;
+      progs = Hashtbl.create 8;
       flights = Hashtbl.create 16;
       warm_q = Queue.create ();
       warm_seen = Hashtbl.create 64;

@@ -42,7 +42,9 @@
     reason resolves its request with a typed [internal] error (the last
     one is surfaced in [stat]); an accepted request never waits out the
     timeout on a silent failure. SIGTERM/SIGINT (or {!stop}) drain
-    gracefully — accepting stops, in-flight requests finish, a campaign
+    gracefully — accepting stops, in-flight requests finish, a request
+    arriving on an open connection meanwhile is refused with a typed
+    [draining] error, a campaign
     mid-flight stops at its next batch boundary with every resolved batch
     already committed to its journal in the store directory, and the
     socket file is removed.
@@ -98,6 +100,12 @@ val store : t -> Moard_store.Store.t
 val pool : t -> Pool.t
 (** The daemon's worker pool (the chaos harness and the test suite read
     its counters). *)
+
+val advf_key : t -> Jsonx.t -> Moard_store.Key.t
+(** The store key an [advf] request resolves to, derived exactly as the
+    request path does: from the daemon's per-benchmark program memo, so
+    neither a golden run nor a second program hash is involved. Raises
+    on a request the dispatcher would refuse as [bad-request]. *)
 
 val run : config -> unit
 (** {!start}, install SIGTERM/SIGINT handlers that trigger the graceful

@@ -102,6 +102,17 @@ let recv ?(sock = Sock.real) fd =
         | _ -> ());
         Some (header, Some p)))
 
+(* A response header always says how the request went; a frame without
+   a status is a payload read in its header's place (the header frame was
+   lost), and must not pass for an answer. *)
+let recv_response ?sock fd =
+  match recv ?sock fd with
+  | Some (h, _) as r -> (
+    match Jsonx.str (Jsonx.member "status" h) with
+    | Some ("ok" | "error") -> r
+    | _ -> fail "response header without a status (lost or misordered frame)")
+  | None -> None
+
 let error ~code ~message =
   Jsonx.Obj
     [

@@ -55,6 +55,15 @@ val recv :
 (** Read one message. [None] on clean EOF at a message boundary.
     @raise Protocol_error on a torn or malformed message. *)
 
+val recv_response :
+  ?sock:Moard_chaos.Sock.t -> Unix.file_descr ->
+  (Jsonx.t * string option) option
+(** {!recv} for the answering side of a request: the header must carry
+    a ["status"] of ["ok"] or ["error"]. A payload frame whose header
+    frame was dropped on the wire is otherwise a well-formed JSON
+    message, and would pass for a status-less answer.
+    @raise Protocol_error on such a frame, as on any torn message. *)
+
 (** {2 Header constructors} *)
 
 val error : code:string -> message:string -> Jsonx.t

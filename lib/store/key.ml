@@ -33,11 +33,11 @@ let multi_part multi =
   in
   String.concat "+" ("single" :: List.sort compare tags)
 
-let advf ~program ~object_name ~(options : Model.options) =
+let advf_of_hash ~program_hash ~object_name ~(options : Model.options) =
   of_parts
     [
       ("query", "advf");
-      ("program", program_hash program);
+      ("program", program_hash);
       ("object", object_name);
       (* The single-bit rendering ("single", possibly with legacy multi
          families) predates error models and must keep producing the same
@@ -53,13 +53,17 @@ let advf ~program ~object_name ~(options : Model.options) =
       ("use_cache", string_of_bool options.Model.use_cache);
     ]
 
-let campaign ~program ~plan =
+let advf ~program = advf_of_hash ~program_hash:(program_hash program)
+
+let campaign_of_hash ~program_hash ~plan =
   of_parts
     [
       ("query", "campaign");
-      ("program", program_hash program);
+      ("program", program_hash);
       ("plan", Plan.hash plan);
     ]
+
+let campaign ~program = campaign_of_hash ~program_hash:(program_hash program)
 
 let predict ~programs ~object_name ~model ~seed ~confidence ~ci_width
     ~max_samples ~target =
@@ -81,12 +85,12 @@ let predict ~programs ~object_name ~model ~seed ~confidence ~ci_width
       ("target", string_of_int target);
     ]
 
-let advise ~program ~objects ~model ~seed ~confidence ~ci_width
+let advise_of_hash ~program_hash ~objects ~model ~seed ~confidence ~ci_width
     ~max_samples =
   of_parts
     [
       ("query", "advise");
-      ("program", program_hash program);
+      ("program", program_hash);
       ("objects", String.concat "," objects);
       ("pattern", Moard_bits.Errmodel.to_string model);
       ("seed", string_of_int seed);
@@ -98,6 +102,8 @@ let advise ~program ~objects ~model ~seed ~confidence ~ci_width
          rewrites the IR must go cold, not serve stale advice *)
       ("transforms", "v1");
     ]
+
+let advise ~program = advise_of_hash ~program_hash:(program_hash program)
 
 let tape ~program ~entry =
   of_parts

@@ -35,10 +35,22 @@ val advf :
     ([options.multi]) and the model parameters that shape the result
     (k, shadow_cap, fi_budget, use_cache). *)
 
+val advf_of_hash :
+  program_hash:string ->
+  object_name:string ->
+  options:Moard_core.Model.options ->
+  t
+(** {!advf} from an already computed {!program_hash}: the same key,
+    without re-printing and re-hashing the program. A caller that serves
+    many queries of one program (the daemon) hashes it once. *)
+
 val campaign : program:Moard_ir.Program.t -> plan:Moard_campaign.Plan.t -> t
 (** Key of a campaign report: program and plan hash (the plan hash binds
     workload name, seed, confidence, ci width, batch, caps and the frozen
     per-stratum sampling orders). *)
+
+val campaign_of_hash : program_hash:string -> plan:Moard_campaign.Plan.t -> t
+(** {!campaign} from an already computed {!program_hash}. *)
 
 val predict :
   programs:(int * Moard_ir.Program.t) list ->
@@ -71,6 +83,17 @@ val advise :
     generation tag — the advisor's plan generation and IR rewrites are
     part of the cached function, so changing them rolls the keys cold
     instead of serving stale advice. *)
+
+val advise_of_hash :
+  program_hash:string ->
+  objects:string list ->
+  model:Moard_bits.Errmodel.t ->
+  seed:int ->
+  confidence:float ->
+  ci_width:float ->
+  max_samples:int ->
+  t
+(** {!advise} from an already computed {!program_hash}. *)
 
 val tape : program:Moard_ir.Program.t -> entry:string -> t
 (** Key of a packed golden tape: program and entry point. *)

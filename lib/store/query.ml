@@ -32,9 +32,15 @@ let advf_payload ?(options = Model.default_options) ?cancel ctx ~object_name =
   let r = Model.analyze ~options ?cancel (Context.shard ctx) ~object_name in
   Moard_report.Advf_report.json ~model:options.Model.model r
 
-let advf store ?(options = Model.default_options) ?cancel ~ctx ~program
+(* [?key], when given, is the caller's derivation of the very key the
+   function would compute; it only spares re-hashing the program. *)
+let advf store ?key ?(options = Model.default_options) ?cancel ~ctx ~program
     ~object_name () =
-  let key = Key.advf ~program ~object_name ~options in
+  let key =
+    match key with
+    | Some k -> k
+    | None -> Key.advf ~program ~object_name ~options
+  in
   get_or_compute store ~key ~kind:Record.Advf (fun () ->
       advf_payload ~options ?cancel (ctx ()) ~object_name)
 
@@ -45,9 +51,11 @@ let interrupted (r : Engine.result) =
     (fun (o : Engine.object_result) -> o.Engine.stopped = Engine.Interrupted)
     r.Engine.objects
 
-let campaign store ?(domains = 1) ?(batch = true) ?should_stop ?cancel ?fx
-    ?(journal_meta = []) ~ctx ~program ~plan () =
-  let key = Key.campaign ~program ~plan in
+let campaign store ?key ?(domains = 1) ?(batch = true) ?should_stop ?cancel
+    ?fx ?(journal_meta = []) ~ctx ~program ~plan () =
+  let key =
+    match key with Some k -> k | None -> Key.campaign ~program ~plan
+  in
   let kind = Record.Campaign in
   match Store.lookup store ~key ~kind with
   | Store.Found (payload, Store.Memory) -> (payload, Memory_hit, None)
@@ -82,22 +90,25 @@ let campaign store ?(domains = 1) ?(batch = true) ?should_stop ?cancel ?fx
 
 let predict_payload = Moard_report.Predict_report.stable_json
 
-let predict store ?model ?(seed = 42) ?(confidence = 0.95) ?(ci_width = 0.02)
-    ?(max_samples = -1) ?(domains = 1) ?(batch = true) ?cancel ~workload_at
-    ~object_name ~sizes ~target () =
+let predict store ?key ?model ?(seed = 42) ?(confidence = 0.95)
+    ?(ci_width = 0.02) ?(max_samples = -1) ?(domains = 1) ?(batch = true)
+    ?cancel ~workload_at ~object_name ~sizes ~target () =
   let sizes = Moard_predict.Predict.canonical_sizes sizes in
-  let workloads = List.map (fun n -> (n, workload_at n)) sizes in
-  let programs =
-    List.map
-      (fun (n, w) -> (n, w.Moard_inject.Workload.program))
-      workloads
-  in
-  let model_v =
-    match model with Some m -> m | None -> Moard_bits.Errmodel.Single_bit
-  in
+  let workloads = lazy (List.map (fun n -> (n, workload_at n)) sizes) in
   let key =
-    Key.predict ~programs ~object_name ~model:model_v ~seed ~confidence
-      ~ci_width ~max_samples ~target
+    match key with
+    | Some k -> k
+    | None ->
+      let programs =
+        List.map
+          (fun (n, w) -> (n, w.Moard_inject.Workload.program))
+          (Lazy.force workloads)
+      in
+      let model =
+        match model with Some m -> m | None -> Moard_bits.Errmodel.Single_bit
+      in
+      Key.predict ~programs ~object_name ~model ~seed ~confidence ~ci_width
+        ~max_samples ~target
   in
   let kind = Record.Predict in
   match Store.lookup store ~key ~kind with
@@ -106,8 +117,8 @@ let predict store ?model ?(seed = 42) ?(confidence = 0.95) ?(ci_width = 0.02)
   | (Store.Absent | Store.Corrupted) as miss ->
     let p =
       Moard_predict.Predict.run ?model ~seed ~confidence ~ci_width
-        ~max_samples ~domains ~batch ?cancel ~workloads ~object_name ~target
-        ()
+        ~max_samples ~domains ~batch ?cancel ~workloads:(Lazy.force workloads)
+        ~object_name ~target ()
     in
     let payload = predict_payload p in
     Store.put store ~key ~kind payload;
@@ -119,7 +130,7 @@ let advise_payload ?model ?seed ?confidence ?ci_width ?max_samples ?domains
     (Moard_advise.Advise.run ?model ?seed ?confidence ?ci_width ?max_samples
        ?domains ?batch ?cancel ?objects workload)
 
-let advise store ?(model = Moard_bits.Errmodel.Single_bit) ?(seed = 42)
+let advise store ?key ?(model = Moard_bits.Errmodel.Single_bit) ?(seed = 42)
     ?(confidence = 0.95) ?(ci_width = 0.02) ?(max_samples = -1) ?domains
     ?batch ?cancel ~workload ~objects () =
   let wl : Moard_inject.Workload.t = workload in
@@ -129,8 +140,11 @@ let advise store ?(model = Moard_bits.Errmodel.Single_bit) ?(seed = 42)
     | l -> l
   in
   let key =
-    Key.advise ~program:wl.Moard_inject.Workload.program ~objects ~model
-      ~seed ~confidence ~ci_width ~max_samples
+    match key with
+    | Some k -> k
+    | None ->
+      Key.advise ~program:wl.Moard_inject.Workload.program ~objects ~model
+        ~seed ~confidence ~ci_width ~max_samples
   in
   get_or_compute store ~key ~kind:Record.Advise (fun () ->
       advise_payload ~model ~seed ~confidence ~ci_width ~max_samples ?domains

@@ -27,6 +27,7 @@ val advf_payload :
 
 val advf :
   Store.t ->
+  ?key:Key.t ->
   ?options:Moard_core.Model.options ->
   ?cancel:Moard_chaos.Cancel.t ->
   ctx:(unit -> Moard_inject.Context.t) ->
@@ -35,9 +36,11 @@ val advf :
   unit ->
   string * status
 (** Get-or-compute an aDVF summary. [ctx] is only forced on a miss, so a
-    warm query never touches the golden run. A tripped [cancel] raises
-    {!Moard_chaos.Cancel.Cancelled} out of the compute path before
-    anything is stored. *)
+    warm query never touches the golden run. [key], when the caller has
+    already derived it, must equal [Key.advf ~program ~object_name
+    ~options]; it spares hashing the program a second time. A tripped
+    [cancel] raises {!Moard_chaos.Cancel.Cancelled} out of the compute
+    path before anything is stored. *)
 
 val campaign_payload : Moard_campaign.Engine.result -> string
 (** The canonical campaign payload ({!Moard_report.Campaign_report}'s
@@ -45,6 +48,7 @@ val campaign_payload : Moard_campaign.Engine.result -> string
 
 val campaign :
   Store.t ->
+  ?key:Key.t ->
   ?domains:int ->
   ?batch:bool ->
   ?should_stop:(unit -> bool) ->
@@ -66,7 +70,8 @@ val campaign :
     exactly when the payload came from the store. [batch] is forwarded
     to the engine's bit-parallel kernel switch; the payload bytes are
     identical either way, which is why neither it nor [domains] is part
-    of the store key. [fx] routes the engine's journal I/O. *)
+    of the store key. [fx] routes the engine's journal I/O. [key], when
+    given, must equal [Key.campaign ~program ~plan]. *)
 
 val predict_payload : Moard_predict.Predict.t -> string
 (** The canonical prediction payload
@@ -74,6 +79,7 @@ val predict_payload : Moard_predict.Predict.t -> string
 
 val predict :
   Store.t ->
+  ?key:Key.t ->
   ?model:Moard_bits.Errmodel.t ->
   ?seed:int ->
   ?confidence:float ->
@@ -92,7 +98,9 @@ val predict :
     ({!Moard_predict.Predict.run}). [sizes] is canonicalized (sorted,
     deduplicated) before keying, and [workload_at] is forced once per
     canonical size to derive the training programs the key hashes — so a
-    warm query builds workloads but never executes them. Neither
+    warm query builds workloads but never executes them. A caller that
+    passes the [key] it derived from the same training programs skips
+    that derivation, and a hit then builds no workload at all. Neither
     [domains] nor [batch] joins the key (they change no payload byte).
     The result is [None] exactly when the payload came from the store.
     Refusals ({!Moard_predict.Predict.Refused}) and cancellation
@@ -118,6 +126,7 @@ val advise_payload :
 
 val advise :
   Store.t ->
+  ?key:Key.t ->
   ?model:Moard_bits.Errmodel.t ->
   ?seed:int ->
   ?confidence:float ->
@@ -135,7 +144,8 @@ val advise :
     spellings share one entry). The protected-variant campaigns run
     without journals — each is a fresh in-memory campaign; the advise
     payload as a whole is the cached unit. A tripped [cancel] raises
-    out of the compute path before anything is stored. *)
+    out of the compute path before anything is stored. [key], when
+    given, must equal {!Key.advise} over the resolved objects. *)
 
 val tape_payload : Moard_inject.Context.t -> string
 (** The packed golden tape, marshalled. *)

@@ -99,6 +99,29 @@ let plan_tests =
           (List.length (drain p Chaos.Store_read 500));
         Alcotest.(check int) "hot scope fires every op" 64
           (List.length (drain p Chaos.Job 64)));
+    Alcotest.test_case "keyed socket draws: the same (connection, op) \
+                        faults whatever the interleaving" `Quick (fun () ->
+        (* two connections' reads, drawn in opposite interleavings: one
+           connection's late final read must not shift the other's faults *)
+        let run order =
+          let p = Chaos.make ~rates:(fun _ -> 1.0) ~seed:5 () in
+          let faults =
+            List.map
+              (fun (conn, op) -> Chaos.draw_at p Chaos.Sock_recv ~conn ~op)
+              order
+          in
+          (List.combine order faults, p)
+        in
+        let ops =
+          List.concat_map (fun c -> [ (c, 0); (c, 1); (c, 2) ]) [ 0; 1 ]
+        in
+        let fa, a = run ops in
+        let fb, b = run (List.rev ops) in
+        Alcotest.(check bool) "each (connection, op) drew the same fault"
+          true
+          (List.sort compare fa = List.sort compare fb);
+        Alcotest.(check string) "identical schedule hash"
+          (Chaos.schedule_hash a) (Chaos.schedule_hash b));
   ]
 
 (* ---------------------------------------------------------------- *)

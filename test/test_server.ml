@@ -100,6 +100,20 @@ let protocol_tests =
             match Protocol.recv b with
             | None -> ()
             | Some _ -> Alcotest.fail "EOF should be None"));
+    Alcotest.test_case "a response frame without a status is not an answer"
+      `Quick (fun () ->
+        (* what a client reads when the header frame of a JSON payload
+           was dropped on the wire: the payload, in the header's place *)
+        let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () ->
+            Unix.close a;
+            Unix.close b)
+          (fun () ->
+            Protocol.send a (Jsonx.Obj [ ("schema", Jsonx.Str "report") ]);
+            match Protocol.recv_response b with
+            | exception Protocol.Protocol_error _ -> ()
+            | _ -> Alcotest.fail "a status-less frame passed for a response"));
     Alcotest.test_case "oversized and torn frames raise Protocol_error"
       `Quick (fun () ->
         let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -177,9 +191,13 @@ let pool_tests =
 (* ---------------------------------------------------------------- *)
 (* Daemon, end to end *)
 
-let with_daemon ?(workers = 2) ?(queue = 8) ?(timeout_s = 120.0) ?shims f =
+let fresh_store_dir () =
   let dir = Filename.temp_file "moard_test_daemon" "" in
   Sys.remove dir;
+  dir
+
+let with_daemon ?(workers = 2) ?(queue = 8) ?(timeout_s = 120.0) ?shims
+    ?(dir = fresh_store_dir ()) f =
   let socket = Filename.temp_file "moardd_test" ".sock" in
   Sys.remove socket;
   let cfg =
@@ -638,6 +656,233 @@ let coalescing_tests =
           (seq 42));
   ]
 
+(* ---------------------------------------------------------------- *)
+(* The one-shot hand-off and the per-benchmark key memo *)
+
+module Oneshot = Moard_server.Oneshot
+module Key = Moard_store.Key
+module Model = Moard_core.Model
+module Monotime = Moard_chaos.Monotime
+
+(* Open descriptors of this process, or None where /proc is absent. *)
+let open_fds () =
+  match Sys.readdir "/proc/self/fd" with
+  | a -> Some (Array.length a)
+  | exception Sys_error _ -> None
+
+(* Connection threads close their sockets a moment after the client
+   does; wait for the count to settle back rather than racing them. *)
+let fds_settle_to start =
+  match start with
+  | None -> ()
+  | Some n ->
+    let deadline = Monotime.now () +. 10.0 in
+    while open_fds () <> Some n && Monotime.now () < deadline do
+      Thread.delay 0.01
+    done;
+    Alcotest.(check (option int)) "open descriptors back at start" (Some n)
+      (open_fds ())
+
+let oneshot_tests =
+  [
+    Alcotest.test_case "first fill wins and wakes the waiter; later fills \
+                        are dropped" `Quick (fun () ->
+        let start = open_fds () in
+        let c = Oneshot.create () in
+        let filler =
+          Thread.create
+            (fun () ->
+              Thread.delay 0.05;
+              ignore (Oneshot.fill c 1))
+            ()
+        in
+        let t0 = Monotime.now () in
+        let got = Oneshot.await c ~until:(t0 +. 30.0) in
+        Thread.join filler;
+        Alcotest.(check (option int)) "the filled value" (Some 1) got;
+        Alcotest.(check bool) "woken by the fill, not the timer" true
+          (Monotime.now () -. t0 < 10.0);
+        Alcotest.(check bool) "a second fill loses" false (Oneshot.fill c 2);
+        Alcotest.(check (option int)) "abandon after take is a no-op"
+          (Some 1) (Oneshot.abandon c);
+        Alcotest.(check (option int)) "pipe released" start (open_fds ()));
+    Alcotest.test_case "a timed-out waiter abandons; the late fill is \
+                        dropped without touching a descriptor" `Quick
+      (fun () ->
+        let start = open_fds () in
+        let c = Oneshot.create () in
+        Alcotest.(check (option int)) "nothing before the timer" None
+          (Oneshot.await c ~until:(Monotime.now () +. 0.02));
+        Alcotest.(check (option int)) "abandoned empty" None
+          (Oneshot.abandon c);
+        Alcotest.(check (option int)) "pipe released on abandon" start
+          (open_fds ());
+        (* a descriptor opened now may reuse the pipe's numbers: the late
+           fill must not write into it *)
+        let r, w = Unix.pipe () in
+        Alcotest.(check bool) "late fill dropped" false (Oneshot.fill c 3);
+        Unix.set_nonblock r;
+        (match Unix.read r (Bytes.create 1) 0 1 with
+        | _ -> Alcotest.fail "a late fill wrote into a reused descriptor"
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+          ->
+          ());
+        Unix.close r;
+        Unix.close w);
+    Alcotest.test_case "a fill that beats the abandonment is delivered"
+      `Quick (fun () ->
+        let c = Oneshot.create () in
+        ignore (Oneshot.fill c "late but first");
+        Alcotest.(check (option string)) "abandon hands it over"
+          (Some "late but first") (Oneshot.abandon c));
+  ]
+
+let prepopulate dir ~benchmark ~object_name =
+  let st = Store.open_store ~dir () in
+  let e = Registry.find benchmark in
+  let w = e.Registry.workload () in
+  let payload, _ =
+    Query.advf st
+      ~ctx:(fun () -> Context.make w)
+      ~program:w.Moard_inject.Workload.program ~object_name ()
+  in
+  payload
+
+let stat_int header name = Jsonx.int (Jsonx.member name header)
+
+let handoff_tests =
+  [
+    Alcotest.test_case "memoized keys equal fresh derivations for every \
+                        registry benchmark, with no golden run" `Quick
+      (fun () ->
+        with_daemon (fun d cfg ->
+            let golden0 = Context.golden_executions () in
+            List.iter
+              (fun (e : Registry.entry) ->
+                List.iter
+                  (fun (fields, options) ->
+                    List.iter
+                      (fun o ->
+                        let req =
+                          Jsonx.Obj
+                            ([
+                               ("op", Jsonx.Str "advf");
+                               ("benchmark", Jsonx.Str e.Registry.benchmark);
+                               ("object", Jsonx.Str o);
+                             ]
+                            @ fields)
+                        in
+                        let fresh =
+                          Key.advf
+                            ~program:
+                              (e.Registry.workload ())
+                                .Moard_inject.Workload.program
+                            ~object_name:o ~options
+                        in
+                        (* twice: derived, then served by the memo *)
+                        for _ = 1 to 2 do
+                          Alcotest.(check string)
+                            (Printf.sprintf "%s/%s" e.Registry.benchmark o)
+                            (Key.to_hex fresh)
+                            (Key.to_hex (Daemon.advf_key d req))
+                        done)
+                      e.Registry.objects)
+                  [
+                    ([], Model.default_options);
+                    ( [
+                        ("k", Jsonx.Int 10);
+                        ("error_model", Jsonx.Str "double-bit");
+                      ],
+                      {
+                        Model.default_options with
+                        Model.k = 10;
+                        Model.model = Moard_bits.Errmodel.Double_adjacent;
+                      } );
+                  ])
+              Registry.all;
+            Alcotest.(check int) "no golden run" golden0
+              (Context.golden_executions ());
+            let stat, _ = rpc cfg (Jsonx.Obj [ ("op", Jsonx.Str "stat") ]) in
+            Alcotest.(check (option int)) "no context built" (Some 0)
+              (stat_int stat "contexts")));
+    Alcotest.test_case "a hit from a pre-populated store runs nothing: \
+                        golden_executions unchanged, no context" `Quick
+      (fun () ->
+        let dir = fresh_store_dir () in
+        let stored =
+          prepopulate dir ~benchmark:"LULESH" ~object_name:"m_elemBC"
+        in
+        with_daemon ~dir (fun _ cfg ->
+            let golden0 = Context.golden_executions () in
+            let h, p = rpc cfg (advf_req "m_elemBC") in
+            Alcotest.(check (option string)) "served from disk"
+              (Some "disk-hit") (served h);
+            Alcotest.(check (option string)) "stored bytes" (Some stored) p;
+            let stat, _ = rpc cfg (Jsonx.Obj [ ("op", Jsonx.Str "stat") ]) in
+            Alcotest.(check (option int)) "golden_executions unchanged"
+              (Some golden0)
+              (stat_int stat "golden_executions");
+            Alcotest.(check (option int)) "contexts" (Some 0)
+              (stat_int stat "contexts")));
+    Alcotest.test_case "200 hits and late-filled timeouts leave no \
+                        descriptor or worker behind" `Slow (fun () ->
+        let dir = fresh_store_dir () in
+        let stored =
+          prepopulate dir ~benchmark:"LULESH" ~object_name:"m_elemBC"
+        in
+        (* jobs sleep past the deadline only while [slow] is set *)
+        let slow = Atomic.make false in
+        let shims =
+          {
+            Chaos.passthrough with
+            Chaos.wrap_job =
+              (fun job () ->
+                if Atomic.get slow then Unix.sleepf 1.5;
+                job ());
+          }
+        in
+        with_daemon ~workers:1 ~timeout_s:1.0 ~shims ~dir (fun d cfg ->
+            let start = open_fds () in
+            let running0 = Pool.running (Daemon.pool d) in
+            (* the first request fills the memo and the memory tier *)
+            ignore (rpc cfg (advf_req "m_elemBC"));
+            let t0 = Monotime.now () in
+            for i = 1 to 200 do
+              let h, p = rpc cfg (advf_req "m_elemBC") in
+              (match served h with
+              | Some ("memory-hit" | "disk-hit") -> ()
+              | s ->
+                Alcotest.failf "hit %d served as %s" i
+                  (Option.value ~default:"?" s));
+              if p <> Some stored then Alcotest.failf "hit %d: bytes differ" i
+            done;
+            (* the old hand-off slept 5 ms per request whatever the work:
+               200 hits could not finish under a second *)
+            Alcotest.(check bool) "hits are not paced by a poll interval" true
+              (Monotime.now () -. t0 < 1.0);
+            Atomic.set slow true;
+            for i = 1 to 3 do
+              let h, _ = rpc cfg (advf_req "m_delv_zeta") in
+              match Client.error_of h with
+              | Some ("timeout", _) -> ()
+              | Some (code, _) ->
+                Alcotest.failf "late request %d: %s, not timeout" i code
+              | None -> Alcotest.failf "late request %d answered ok" i
+            done;
+            Atomic.set slow false;
+            let deadline = Monotime.now () +. 30.0 in
+            while
+              (Pool.running (Daemon.pool d) > running0
+              || Pool.queued (Daemon.pool d) > 0)
+              && Monotime.now () < deadline
+            do
+              Thread.delay 0.01
+            done;
+            Alcotest.(check int) "workers back at start" running0
+              (Pool.running (Daemon.pool d));
+            fds_settle_to start));
+  ]
+
 let suite =
   [
     ("server.jsonx", jsonx_tests);
@@ -646,4 +891,6 @@ let suite =
     ("server.daemon", daemon_tests);
     ("server.coalescing", coalescing_tests);
     ("server.resilience", resilience_tests);
+    ("server.oneshot", oneshot_tests);
+    ("server.handoff", handoff_tests);
   ]
