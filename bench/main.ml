@@ -1640,6 +1640,102 @@ let parallel_bench () =
     note "wrote BENCH_parallel.json"
   end
 
+(* Interpreter cost per dynamic instruction, untraced (the injection path)
+   and traced into a packed tape (the golden run), for every registry
+   benchmark at its smallest ladder size. Each figure is the fastest of at
+   least [min_reps] runs, repeated until [budget_s] seconds were spent on
+   it; minor words come from [Gc.minor_words] deltas and do not depend on
+   timing. *)
+let git_commit () =
+  match Sys.getenv_opt "MOARD_BENCH_COMMIT" with
+  | Some c -> c
+  | None -> (
+    try
+      let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+      let line = try input_line ic with End_of_file -> "unknown" in
+      ignore (Unix.close_process_in ic);
+      line
+    with Unix.Unix_error _ -> "unknown")
+
+let vm_bench () =
+  let module Machine = Moard_vm.Machine in
+  section "VM interpreter: ns and minor words per dynamic instruction";
+  let min_reps, budget_s = if !quick then (2, 0.0) else (5, 0.5) in
+  let best f =
+    let start = Unix.gettimeofday () in
+    let rec go k acc =
+      if k >= min_reps && Unix.gettimeofday () -. start >= budget_s then acc
+      else
+        let t = Unix.gettimeofday () in
+        let w0 = Gc.minor_words () in
+        let steps = f () in
+        let words = Gc.minor_words () -. w0 in
+        let s = Unix.gettimeofday () -. t in
+        let acc =
+          match acc with
+          | Some (s', _, _) when s' <= s -> acc
+          | _ -> Some (s, words, steps)
+        in
+        go (k + 1) acc
+    in
+    Option.get (go 0 None)
+  in
+  let rows =
+    List.map
+      (fun (e : Registry.entry) ->
+        let size = e.Registry.sizes.(0) in
+        let w = e.Registry.workload_at size in
+        let m = Machine.load w.Moard_inject.Workload.program in
+        let entry = w.Moard_inject.Workload.entry
+        and harts = w.Moard_inject.Workload.harts
+        and step_limit = w.Moard_inject.Workload.step_limit in
+        let us, uwords, steps =
+          best (fun () ->
+              (Machine.run ~step_limit ~harts m ~entry).Machine.steps)
+        in
+        let ts, _, tsteps =
+          best (fun () ->
+              (fst (Machine.trace ~step_limit ~harts m ~entry)).Machine.steps)
+        in
+        if tsteps <> steps then
+          failwith ("vm: traced and untraced step counts differ on "
+                    ^ e.Registry.benchmark);
+        let per x = x /. float_of_int steps in
+        let b = e.Registry.benchmark
+        and uns = per (us *. 1e9) and uw = per uwords
+        and tns = per (ts *. 1e9) in
+        Printf.printf
+          "  %-8s size %-4d %9d steps  untraced %6.1f ns/step %5.1f \
+           words/step  traced %6.1f ns/step\n%!"
+          b size steps uns uw tns;
+        (b, size, steps, uns, uw, tns))
+      Registry.all
+  in
+  if !quick then note "quick mode: not writing BENCH_vm.json"
+  else begin
+    let oc = open_out "BENCH_vm.json" in
+    Printf.fprintf oc
+      "{\n\
+      \  \"measured_with\": \"dune exec bench/main.exe -- vm\",\n\
+      \  \"host_cores\": %d,\n\
+      \  \"commit\": %S,\n\
+      \  \"benchmarks\": [\n"
+      (host_cores ()) (git_commit ());
+    List.iteri
+      (fun i (b, size, steps, uns, uw, tns) ->
+        Printf.fprintf oc
+          "    { \"benchmark\": %S, \"size\": %d, \"steps\": %d, \
+           \"untraced_ns_per_step\": %.1f, \
+           \"untraced_minor_words_per_step\": %.2f, \
+           \"traced_ns_per_step\": %.1f }%s\n"
+          b size steps uns uw tns
+          (if i = List.length rows - 1 then "" else ","))
+      rows;
+    Printf.fprintf oc "  ]\n}\n";
+    close_out oc;
+    note "wrote BENCH_vm.json"
+  end
+
 let experiments =
   [
     ("table1", table1);
@@ -1660,6 +1756,7 @@ let experiments =
     ("chaos", chaos_bench);
     ("predict", predict_bench);
     ("advise", advise_bench);
+    ("vm", vm_bench);
   ]
 
 let () =

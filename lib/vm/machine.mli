@@ -20,7 +20,11 @@ type run = {
 }
 
 val load : ?mem_bytes:int -> Moard_ir.Program.t -> t
-(** Validates the program and assigns every global an address.
+(** Validates the program, assigns every global an address and decodes
+    every instruction once: global operands become address constants, call
+    targets become the function or intrinsic they name, and each
+    instruction gets its {!Moard_ir.Iid.t}. The result is never written
+    after [load] returns, so one [t] may run on several domains at once.
     Default memory size fits all globals plus 64 KiB of slack.
     @raise Invalid_argument if validation fails. *)
 
@@ -77,7 +81,10 @@ val run :
   t -> entry:string -> run
 (** Execute [entry]. [step_limit] defaults to 20 million. [sink] defaults
     to {!Trace_sink.Null}: untraced executions (fault injections, golden
-    re-executions) pay no tracing cost at all.
+    re-executions) do no tracing work, and a step allocates only the value
+    it produces (see {!Trace_sink} for the rest). Every run executes the
+    program {!load} decoded; the names, operands and callees of the source
+    IR are never looked up during a run.
 
     [harts] (default 1) launches that many cooperating harts SPMD-style:
     each runs [entry] with the same [args] over the shared flat memory,

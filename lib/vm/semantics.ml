@@ -28,34 +28,38 @@ let shift_result ty op a amount =
     in
     Bitval.make (T.width ty) r
 
-let ibin op ty a b =
+let ibin_or_trap op ty a b =
   let w = T.width ty in
   let x = Bitval.to_int64 a and y = Bitval.to_int64 b in
   match op with
-  | I.Add -> Ok (Bitval.make w (Int64.add x y))
-  | I.Sub -> Ok (Bitval.make w (Int64.sub x y))
-  | I.Mul -> Ok (Bitval.make w (Int64.mul x y))
+  | I.Add -> Bitval.make w (Int64.add x y)
+  | I.Sub -> Bitval.make w (Int64.sub x y)
+  | I.Mul -> Bitval.make w (Int64.mul x y)
   | I.Sdiv ->
-    if Int64.equal y 0L then Error Trap.Div_by_zero
+    if Int64.equal y 0L then raise (Trap.Trap_exn Trap.Div_by_zero)
     else if Int64.equal x Int64.min_int && Int64.equal y (-1L) then
-      Ok (Bitval.make w Int64.min_int)
-    else Ok (Bitval.make w (Int64.div x y))
+      Bitval.make w Int64.min_int
+    else Bitval.make w (Int64.div x y)
   | I.Srem ->
-    if Int64.equal y 0L then Error Trap.Div_by_zero
+    if Int64.equal y 0L then raise (Trap.Trap_exn Trap.Div_by_zero)
     else if Int64.equal x Int64.min_int && Int64.equal y (-1L) then
-      Ok (Bitval.make w 0L)
-    else Ok (Bitval.make w (Int64.rem x y))
-  | I.And -> Ok (Bitval.make w (Int64.logand x y))
-  | I.Or -> Ok (Bitval.make w (Int64.logor x y))
-  | I.Xor -> Ok (Bitval.make w (Int64.logxor x y))
+      Bitval.make w 0L
+    else Bitval.make w (Int64.rem x y)
+  | I.And -> Bitval.make w (Int64.logand x y)
+  | I.Or -> Bitval.make w (Int64.logor x y)
+  | I.Xor -> Bitval.make w (Int64.logxor x y)
   | I.Shl | I.Lshr | I.Ashr ->
     let amount =
       let a64 = Bitval.to_int64 b in
       if Int64.compare a64 0L < 0 || Int64.compare a64 64L >= 0 then -1
       else Int64.to_int a64
     in
-    ignore y;
-    Ok (shift_result ty op a amount)
+    shift_result ty op a amount
+
+let ibin op ty a b =
+  match ibin_or_trap op ty a b with
+  | v -> Ok v
+  | exception Trap.Trap_exn trap -> Error trap
 
 let fbin op a b =
   let x = Bitval.to_float a and y = Bitval.to_float b in
@@ -145,11 +149,12 @@ let intrinsics = List.map fst table
    the front end can resolve the names. All take no arguments. *)
 let hart_intrinsics = [ "hart_id"; "hart_count"; "barrier" ]
 
-let intrinsic_arity name =
-  Option.map fst (List.assoc_opt name table)
+let math_intrinsic name = List.assoc_opt name table
+
+let intrinsic_arity name = Option.map fst (math_intrinsic name)
 
 let intrinsic name args =
-  match List.assoc_opt name table with
+  match math_intrinsic name with
   | None -> invalid_arg ("Semantics.intrinsic: " ^ name)
   | Some (arity, f) ->
     if List.length args <> arity then

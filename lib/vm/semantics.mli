@@ -13,6 +13,11 @@ val ibin :
 (** Integer arithmetic at I32 or I64. Division/remainder by zero traps.
     Shift amounts outside [0, width) yield 0 (or all sign bits for ashr). *)
 
+val ibin_or_trap :
+  Moard_ir.Instr.ibin -> Moard_ir.Types.t -> Bitval.t -> Bitval.t -> Bitval.t
+(** {!ibin} for the interpreter's step loop.
+    @raise Trap.Trap_exn where {!ibin} returns [Error]. *)
+
 val fbin : Moard_ir.Instr.fbin -> Bitval.t -> Bitval.t -> Bitval.t
 val icmp : Moard_ir.Instr.icmp -> Bitval.t -> Bitval.t -> Bitval.t
 val fcmp : Moard_ir.Instr.fcmp -> Bitval.t -> Bitval.t -> Bitval.t
@@ -33,6 +38,10 @@ val hart_intrinsics : string list
     not on operand values. All are nullary. *)
 
 val intrinsic_arity : string -> int option
+
+val math_intrinsic : string -> (int * (float array -> float)) option
+(** Arity and implementation of a math intrinsic, for callers that resolve
+    the name once (the machine's decoder) instead of on every call. *)
 
 val intrinsic : string -> Bitval.t list -> (Bitval.t, Trap.t) result
 (** @raise Invalid_argument on unknown name (callers check first). *)

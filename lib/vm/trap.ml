@@ -6,6 +6,8 @@ type t =
   | No_function of string
   | Arity of { callee : string; expected : int; got : int }
 
+exception Trap_exn of t
+
 let pp ppf = function
   | Out_of_bounds { addr; size } ->
     Format.fprintf ppf "out-of-bounds access of %d bytes at address %d" size addr

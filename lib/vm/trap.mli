@@ -10,6 +10,12 @@ type t =
   | No_function of string
   | Arity of { callee : string; expected : int; got : int }
 
+exception Trap_exn of t
+(** How a trap leaves the interpreter's step loop: the machine's own
+    memory accesses and integer arithmetic raise it directly, so a step
+    that does not trap builds no [result]. {!Machine.run} catches it and
+    reports [Trapped]; it never escapes the machine. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val equal : t -> t -> bool

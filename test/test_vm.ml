@@ -237,10 +237,176 @@ let trace_consistency =
                 = base + 8));
   ]
 
+(* The three sink paths must execute the same program: the boxed events
+   of [Fn] are the packed tape's events decoded, and an untraced run ends
+   in the same state as a traced one. For a few faults per workload, a run
+   resumed from a golden checkpoint classifies like a full run. *)
+let sink_differential =
+  let module W = Moard_inject.Workload in
+  let module Context = Moard_inject.Context in
+  let module Tape = Moard_trace.Tape in
+  let module Registry = Moard_kernels.Registry in
+  List.map
+    (fun (e : Registry.entry) ->
+      let size = e.Registry.sizes.(0) in
+      Alcotest.test_case
+        (Printf.sprintf "%s at size %d: Fn = Tape, untraced = traced"
+           e.Registry.benchmark size)
+        `Quick (fun () ->
+          let w = e.Registry.workload_at size in
+          let m = Machine.load w.W.program in
+          let run ?sink () =
+            Machine.run ?sink ~step_limit:w.W.step_limit ~harts:w.W.harts m
+              ~entry:w.W.entry
+          in
+          let traced, tape =
+            Machine.trace ~step_limit:w.W.step_limit ~harts:w.W.harts m
+              ~entry:w.W.entry
+          in
+          let pushed = ref 0 in
+          let fn_run =
+            run
+              ~sink:
+                (Moard_vm.Trace_sink.Fn
+                   (fun ev ->
+                     let i = !pushed in
+                     if i >= Tape.length tape || ev <> Tape.get tape i then
+                       Alcotest.failf "event %d differs from the tape" i;
+                     incr pushed))
+              ()
+          in
+          let untraced = run () in
+          Alcotest.(check int) "Fn events = tape length" (Tape.length tape)
+            !pushed;
+          List.iter
+            (fun (what, (r : Machine.run)) ->
+              Alcotest.(check int) (what ^ " steps") traced.Machine.steps
+                r.Machine.steps;
+              if r.Machine.outcome <> traced.Machine.outcome then
+                Alcotest.failf "%s outcome differs" what;
+              if not (Memory.equal r.Machine.mem traced.Machine.mem) then
+                Alcotest.failf "%s final memory differs" what)
+            [ ("Fn", fn_run); ("untraced", untraced) ];
+          let ctx = Context.make w in
+          let n = Tape.length tape in
+          let faults =
+            List.filter_map
+              (fun i ->
+                if Tape.nreads_at tape i = 0 then None
+                else
+                  let slot = i mod Tape.nreads_at tape i in
+                  let width = (Tape.read_value tape i slot).B.width in
+                  let bit = max 0 (B.bits_in width - 2) in
+                  Some (Fault.read ~idx:i ~slot (Moard_bits.Pattern.Single bit)))
+              [ n / 7; n / 3; n / 2; 5 * n / 6 ]
+            @ (List.init n (fun k -> n - 1 - k)
+              |> List.find_opt (fun i -> Tape.write_addr_at tape i >= 0)
+              |> Option.map (fun i ->
+                     Fault.store_dest ~idx:i (Moard_bits.Pattern.Single 0))
+              |> Option.to_list)
+          in
+          List.iter
+            (fun fault ->
+              let full = Context.inject ~resume:false ctx fault in
+              let resumed = Context.inject ~resume:true ctx fault in
+              if not (Moard_inject.Outcome.equal full resumed) then
+                Alcotest.failf "%s: resumed %s, full %s"
+                  (Format.asprintf "%a" Fault.pp fault)
+                  (Moard_inject.Outcome.to_string resumed)
+                  (Moard_inject.Outcome.to_string full))
+            faults))
+    Moard_kernels.Registry.all
+
+(* Traps the decoded dispatch must still raise at run time. [Validate]
+   only checks that a callee name exists, so these programs load. *)
+let call_of ~callee args =
+  let b = Bld.create ~name:"main" ~nparams:0 in
+  let r = Bld.call b callee args in
+  Bld.ret b (Some (I.Reg r));
+  { P.globals = []; funcs = [ Bld.finish b ] }
+
+let expect_trap what expected (r : Machine.run) =
+  match r.Machine.outcome with
+  | Machine.Trapped tr when Trap.equal tr expected -> ()
+  | Machine.Trapped tr ->
+    Alcotest.failf "%s: trapped with %s, want %s" what (Trap.to_string tr)
+      (Trap.to_string expected)
+  | Machine.Finished _ -> Alcotest.failf "%s: finished, want a trap" what
+
+let runtime_traps =
+  let one = I.Imm (B.of_float 1.0) in
+  [
+    Alcotest.test_case "math intrinsic with the wrong arity traps" `Quick
+      (fun () ->
+        let m = Machine.load (call_of ~callee:"sqrt" [ one; one ]) in
+        expect_trap "sqrt/2"
+          (Trap.Arity { callee = "sqrt"; expected = 1; got = 2 })
+          (Machine.run m ~entry:"main");
+        let m = Machine.load (call_of ~callee:"pow" [ one ]) in
+        expect_trap "pow/1"
+          (Trap.Arity { callee = "pow"; expected = 2; got = 1 })
+          (Machine.run m ~entry:"main"));
+    Alcotest.test_case "hart_id with an argument traps" `Quick (fun () ->
+        let m =
+          Machine.load (call_of ~callee:"hart_id" [ I.Imm (B.of_int64 0L) ])
+        in
+        expect_trap "hart_id/1"
+          (Trap.Arity { callee = "hart_id"; expected = 0; got = 1 })
+          (Machine.run m ~entry:"main"));
+    Alcotest.test_case "user function with the wrong arity traps" `Quick
+      (fun () ->
+        let f = Bld.create ~name:"id" ~nparams:1 in
+        Bld.ret f (Some (I.Reg 0));
+        let b = Bld.create ~name:"main" ~nparams:0 in
+        let r = Bld.call b "id" [] in
+        Bld.ret b (Some (I.Reg r));
+        let m =
+          Machine.load { P.globals = []; funcs = [ Bld.finish f; Bld.finish b ] }
+        in
+        expect_trap "id/0"
+          (Trap.Arity { callee = "id"; expected = 1; got = 0 })
+          (Machine.run m ~entry:"main"));
+    Alcotest.test_case "a resumed run traps with the full run's payload"
+      `Quick (fun () ->
+        (* Event 1 is the gep computing &a[1]; flipping bit 40 of its
+           index sends the next load far out of bounds. *)
+        let m = Machine.load (sum_program ()) in
+        let fault = Fault.read ~idx:1 ~slot:1 (Moard_bits.Pattern.Single 40) in
+        let full = Machine.run ~fault m ~entry:"main" in
+        let cp = Machine.checkpoint m ~entry:"main" ~at:1 in
+        let resumed = Machine.run ~fault ~from:cp m ~entry:"main" in
+        let addr = Machine.base_of m "a" + (8 * (1 lor (1 lsl 40))) in
+        expect_trap "full" (Trap.Out_of_bounds { addr; size = 8 }) full;
+        expect_trap "resumed" (Trap.Out_of_bounds { addr; size = 8 }) resumed;
+        Alcotest.(check int) "steps" full.Machine.steps resumed.Machine.steps;
+        (* a trap raised by the machine's own state, deep in a call chain
+           rebuilt from the checkpoint *)
+        let b = Bld.create ~name:"rec" ~nparams:0 in
+        Bld.call_void b "rec" [];
+        Bld.ret b None;
+        let bm = Bld.create ~name:"main" ~nparams:0 in
+        Bld.call_void bm "rec" [];
+        Bld.ret bm None;
+        let m =
+          Machine.load { P.globals = []; funcs = [ Bld.finish b; Bld.finish bm ] }
+        in
+        let full = Machine.run m ~entry:"main" in
+        let cp = Machine.checkpoint m ~entry:"main" ~at:57 in
+        let resumed = Machine.run ~from:cp m ~entry:"main" in
+        expect_trap "full" (Trap.Call_depth 200) full;
+        expect_trap "resumed" (Trap.Call_depth 200) resumed;
+        Alcotest.(check int) "steps" full.Machine.steps resumed.Machine.steps;
+        let limited = Machine.run ~step_limit:100 ~from:cp m ~entry:"main" in
+        expect_trap "step limit" (Trap.Step_limit 100) limited;
+        Alcotest.(check int) "steps at the limit" 100 limited.Machine.steps);
+  ]
+
 let suite =
   [
     ("vm.memory", memory_tests);
     ("vm.machine", machine_tests);
     ("vm.faults", fault_tests);
     ("vm.trace", trace_consistency);
+    ("vm.sinks", sink_differential);
+    ("vm.traps", runtime_traps);
   ]
